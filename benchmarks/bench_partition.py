@@ -29,8 +29,9 @@ the whole point of warm workers over shm is that the overhead is gone.
 The artifact also carries a ``components`` decomposition of where a
 partitioned replay's time goes: ``dispatch`` (warm-pool task
 round-trip), ``transfer`` (shm segment create + attach), ``decode``
-(bytes to fused sections), ``replay`` (sections to profile), and
-``merge`` (shard fold), so a regression in any one layer is visible in
+(the v3 codec: bytes to sections), ``fuse`` (sections to run-superop
+sections), ``replay`` (fused sections to profile), and ``merge``
+(shard fold), so a regression in any one layer is visible in
 isolation rather than smeared across the curve.
 
 The remaining speedup gates need real cores: with one CPU the pool
@@ -66,11 +67,7 @@ from repro.core.events import (
     encode_events,
     fuse_batch,
 )
-from repro.core.tracefile import (
-    PipelineStats,
-    iter_section_batches,
-    pipeline_batches,
-)
+from repro.core.tracefile import iter_section_batches
 from repro.core.tracing import with_switches
 from repro.tools.partition import replay_partitioned
 from repro.workloads.registry import get_workload
@@ -139,13 +136,12 @@ def build_payload(runs, monolithic=False):
 
 
 def serial_replay(payload):
-    """Bytes-to-profile streaming replay — the same ranged decoder,
-    fusion, and pipelined columnar kernel each partition worker runs,
-    minus the partitioning."""
+    """Bytes-to-profile streaming replay — the same section decoder,
+    fusion, and columnar kernel each partition worker runs, minus the
+    partitioning."""
     profiler = DrmsProfiler(policy=FULL_POLICY, keep_activations=False)
-    sections = (fuse_batch(s) for s in iter_section_batches(payload))
-    for section in pipeline_batches(sections, stats=PipelineStats()):
-        profiler.consume_columnar(section)
+    for section in iter_section_batches(payload):
+        profiler.consume_columnar(fuse_batch(section))
     profiler.begin_trace()
     return profiler
 
@@ -214,12 +210,21 @@ def decompose(payload, repeats, merge_time):
     comps["transfer"] = _median(transfer, repeats)
 
     def decode():
-        for section in iter_section_batches(payload):
-            fuse_batch(section)
+        for _section in iter_section_batches(payload):
+            pass
 
     comps["decode"] = _median(decode, repeats)
 
-    fused = [fuse_batch(s) for s in iter_section_batches(payload)]
+    sections = list(iter_section_batches(payload))
+
+    def fuse():
+        for section in sections:
+            fuse_batch(section)
+
+    comps["fuse"] = _median(fuse, repeats)
+
+    fused = [fuse_batch(s) for s in sections]
+    del sections
 
     def replay():
         profiler = DrmsProfiler(policy=FULL_POLICY, keep_activations=False)

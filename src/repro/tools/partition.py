@@ -9,10 +9,10 @@ parallel job:
    with per-thread carry-in summaries — into byte ranges with balanced
    event counts;
 2. each partition replays its range through the normal engines
-   (columnar by default, with pipelined ranged decode) in a supervised
-   process pool — a worker that times out or dies is retried with
-   backoff and, failing that, that partition alone falls back to an
-   inline replay in the parent;
+   (columnar by default, each section decoded and fused once for all
+   profiler kinds) in a supervised process pool — a worker that times
+   out or dies is retried with backoff and, failing that, that
+   partition alone falls back to an inline replay in the parent;
 3. the per-partition profiler shards **stream back** and fold through
    the exact associative ``merge()`` as they arrive (buffered to index
    order), so the final merge overlaps the slowest worker instead of
@@ -51,10 +51,8 @@ from repro.core.rms import RmsProfiler
 from repro.core.timestamping import DrmsProfiler
 from repro.core.tracefile import (
     PartitionPlan,
-    PipelineStats,
     TracePartition,
     iter_section_batches,
-    pipeline_batches,
     plan_partitions,
 )
 from repro.obs.distributed import (
@@ -140,9 +138,9 @@ class PartitionShard:
     cold_reads: list = field(default_factory=list)
     last_write: dict = field(default_factory=dict)
     last_access: dict = field(default_factory=dict)
-    decode_stall_s: float = 0.0
-    backpressure_s: float = 0.0
-    queue_depth_hwm: int = 0
+    #: decode-and-fuse time of this shard's partition, shared by every
+    #: kind replayed from the same decoded sections
+    decode_fuse_s: float = 0.0
     #: planner carry the partition was seeded with: ``((thread, ((seq,
     #: routine, call_cost), ...)), ...)`` bottom-to-top per thread.
     carry_in: tuple = ()
@@ -164,15 +162,18 @@ def replay_partition(
     total: int,
     engine: str = "columnar",
     counter_limit: Optional[int] = None,
-    depth: int = 4,
     carry_aware: bool = False,
 ) -> List[PartitionShard]:
     """Replay one partition's byte range under each profiler kind.
 
-    The columnar engine streams ranged sections (fused into run
-    superops) through the pipelined decoder and records its
-    backpressure stats; ``batched``/``scalar`` replay the same range
-    through the other engines for the equivalence suite.
+    The range is decoded once, section by section, in the calling
+    thread; the columnar engine fuses each section into run superops
+    once and feeds the same fused section to every kind's profiler (the
+    kernels never mutate their input).  ``batched``/``scalar`` replay
+    the same decoded sections through the other engines for the
+    equivalence suite.  Each shard's ``elapsed`` is its own kernel
+    time; ``decode_fuse_s`` is the decode-and-fuse time the kinds
+    shared.
 
     A partition with a nonempty ``carry_in`` starts mid-activation:
     the profilers are seeded with placeholder frames for the carried
@@ -185,30 +186,40 @@ def replay_partition(
     partition's fix-up may look up prefix accesses from it.
     """
     carried = bool(carry_aware or part.carry_in or part.carry_out_ids)
-    shards: List[PartitionShard] = []
+    profs = []
     for kind in kinds:
         prof = _make_profiler(kind, counter_limit)
         if kind == "drms" or part.carry_in:
             prof.cold_reads = []
         if part.carry_in:
             prof.seed_partition(part.carry_in)
-        stats = PipelineStats()
-        start = time.perf_counter()
+        profs.append(prof)
+    if engine == "scalar":
+        consumers = [p.run for p in profs]
+    elif engine == "batched":
+        consumers = [p.consume_batch for p in profs]
+    else:
+        consumers = [p.consume_columnar for p in profs]
+    elapsed = [0.0] * len(profs)
+    decode_fuse = 0.0
+    clock = time.perf_counter
+    mark = clock()
+    for section in iter_section_batches(payload, part.start, part.end):
         if engine == "scalar":
-            for batch in iter_section_batches(payload, part.start, part.end):
-                for event in batch.iter_events():
-                    prof.consume(event)
-        elif engine == "batched":
-            for batch in iter_section_batches(payload, part.start, part.end):
-                prof.consume_batch(batch)
-        else:
-            sections = (
-                fuse_batch(s)
-                for s in iter_section_batches(payload, part.start, part.end)
-            )
-            for section in pipeline_batches(sections, depth=depth, stats=stats):
-                prof.consume_columnar(section)
-        elapsed = time.perf_counter() - start
+            section = list(section.iter_events())
+        elif engine != "batched":
+            section = fuse_batch(section)
+        now = clock()
+        decode_fuse += now - mark
+        for k, consume in enumerate(consumers):
+            consume(section)
+            mark = clock()
+            elapsed[k] += mark - now
+            now = mark
+        mark = now
+    decode_fuse += clock() - mark
+    shards: List[PartitionShard] = []
+    for kind, prof, kernel_s in zip(kinds, profs, elapsed):
         space = prof.space_cells()
         if kind == "drms" or carried:
             last_write, last_access = prof.boundary_summary()
@@ -228,15 +239,13 @@ def replay_partition(
                 index=part.index,
                 partitions=total,
                 events=part.events,
-                elapsed=elapsed,
+                elapsed=kernel_s,
                 space_cells=space,
                 profiler=prof,
                 cold_reads=cold,
                 last_write=last_write,
                 last_access=last_access,
-                decode_stall_s=stats.decode_stall_s,
-                backpressure_s=stats.backpressure_s,
-                queue_depth_hwm=stats.queue_depth_hwm,
+                decode_fuse_s=decode_fuse,
                 carry_in=tuple(part.carry_in),
                 carry_out=carry_out,
                 carried_returns=tuple(rets),
@@ -334,25 +343,18 @@ def _open_partition_trace(
     return tracer, sidecar
 
 
-def _emit_shard_counters(tracer, shards: List[PartitionShard]) -> None:
-    """Counter-track samples (Perfetto "C" events) from PipelineStats."""
+def _emit_shard_counters(tracer, rows: List[List[PartitionShard]]) -> None:
+    """Counter-track samples (Perfetto "C" events): one decode-and-fuse
+    time per partition (every shard of a row shares it)."""
     if not getattr(tracer, "enabled", False):
         return
-    for shard in shards:
-        track = f"p{shard.index}"
-        tracer.counter(
-            "partition.decode_stall_us",
-            int(shard.decode_stall_s * 1e6),
-            track=track,
-        )
-        tracer.counter(
-            "partition.backpressure_us",
-            int(shard.backpressure_s * 1e6),
-            track=track,
-        )
-        tracer.counter(
-            "partition.queue_depth_hwm", shard.queue_depth_hwm, track=track
-        )
+    for row in rows:
+        if row:
+            tracer.counter(
+                "partition.decode_fuse_us",
+                int(row[0].decode_fuse_s * 1e6),
+                track=f"p{row[0].index}",
+            )
 
 
 def _check_test_kill(kill: Optional[str], index: int) -> None:
@@ -411,7 +413,7 @@ def _partition_worker(
                 counter_limit=counter_limit,
                 carry_aware=carry_aware,
             )
-        _emit_shard_counters(tracer, shards)
+        _emit_shard_counters(tracer, [shards])
         return shards
     finally:
         if sidecar is not None:
@@ -795,7 +797,7 @@ def replay_partitioned(
     (:meth:`~repro.obs.distributed.TraceContext.to_dict` form, as
     shipped inside a service lease).  When it names a spans directory,
     this process opens a crash-safe span sidecar of its own, every pool
-    worker opens one per partition, and decode-stall/backpressure
+    worker opens one per partition, and decode-and-fuse time
     counter samples land on per-partition counter tracks — so the
     per-job merged Perfetto view shows one track per worker/partition.
     """
@@ -1085,9 +1087,7 @@ def replay_partitioned(
     if own_sidecar is not None:
         # Counter samples for inline-replayed shards (pool workers emit
         # their own); then the whole-replay summary below.
-        _emit_shard_counters(
-            tracer, [s for i in sorted(results) for s in results[i]]
-        )
+        _emit_shard_counters(tracer, rows)
     reclassified = 0
     merge_time = 0.0
     profilers: Dict[str, object] = {}
@@ -1150,12 +1150,10 @@ def replay_partitioned(
                     max(1, int(shard.elapsed * 1e6))
                 )
                 metrics.gauge("partition.events", slabels).set(shard.events)
+            if row:
                 metrics.histogram(
-                    "partition.decode_stall_us", {"label": label}
-                ).observe(int(shard.decode_stall_s * 1e6))
-                metrics.histogram(
-                    "partition.backpressure_us", {"label": label}
-                ).observe(int(shard.backpressure_s * 1e6))
+                    "partition.decode_fuse_us", labels
+                ).observe(int(row[0].decode_fuse_s * 1e6))
     if own_sidecar is not None:
         own_sidecar.close()
     return PartitionedReplay(

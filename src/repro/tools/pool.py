@@ -31,10 +31,12 @@ Two pieces remove them:
 Worker processes keep an **attach cache** keyed by segment name
 (:func:`attached_view`): the same trace is mapped once per worker, not
 once per task, and the cache is LRU-capped so long-lived workers do
-not accumulate mappings.  Workers are forked from the segment creator
-and share its ``resource_tracker`` process, so their attach-time
-REGISTERs dedupe against the creator's and the creator's unlink
-balances the books — no spurious tracker unlinks or leak warnings.
+not accumulate mappings.  The pool starts the parent's
+``resource_tracker`` before it forks any worker, so every worker shares
+the segment creator's tracker process, whether the pool was warmed
+before or after the first segment.  Their attach-time REGISTERs dedupe
+against the creator's and the creator's unlink balances the books — no
+spurious tracker unlinks or leak warnings.
 
 Everything degrades: platforms without working shared memory fall back
 to the pickled-subrange path (callers probe :func:`shm_available`),
@@ -55,7 +57,7 @@ from concurrent.futures.process import BrokenProcessPool
 from typing import Dict, List, Optional
 
 try:  # pragma: no cover - present on every supported platform
-    from multiprocessing import shared_memory
+    from multiprocessing import resource_tracker, shared_memory
 except ImportError:  # pragma: no cover - exotic build without _posixshmem
     shared_memory = None  # type: ignore[assignment]
 
@@ -329,6 +331,15 @@ class WorkerPool:
         return bool(getattr(self._executor, "_broken", False))
 
     def _respawn(self, workers: int) -> None:
+        if shared_memory is not None:
+            # Start this process's resource tracker before the workers
+            # fork, so they inherit it: a worker forked without one
+            # starts its own at its first attach, which on the worker's
+            # exit reports the segment as leaked and unlinks it.
+            try:
+                resource_tracker.ensure_running()
+            except OSError:  # pragma: no cover - tracker cannot start
+                pass
         old = self._executor
         if old is not None:
             if self._broken():

@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.events import EventBatch, count_superops, fuse_batch
-from repro.core.tracefile import iter_section_batches, pipeline_batches
+from repro.core.tracefile import iter_section_batches
 from repro.tools.pool import (
     SharedTrace,
     attached_view,
@@ -85,8 +85,8 @@ __all__ = [
 #: feeds ``consume`` (the reference loop), ``batched`` replays the
 #: opcode batch through ``consume_batch`` (the PR-1 fast path, kept
 #: intact as the measurement baseline), ``columnar`` fuses run superops
-#: once per workload and replays through ``consume_columnar`` with
-#: pipelined section decode in worker processes.  All three are
+#: once per workload and replays through ``consume_columnar``, streaming
+#: decoded sections in worker processes.  All three are
 #: bit-identical in profiling output (property-tested).
 ENGINES = ("scalar", "batched", "columnar")
 
@@ -274,30 +274,24 @@ def replay_tool_streaming(
     factory: Callable[[], AnalysisTool],
     payload: bytes,
     repeats: int = 3,
-    depth: int = 4,
 ) -> Tuple[float, int]:
-    """Columnar replay of a *serialised* trace with pipelined decode.
+    """Columnar replay of a *serialised* trace, bytes to profile.
 
     Sections are decoded zero-copy (:func:`iter_section_batches`) — and
-    fused, for superop-capable tools — on a reader thread that runs up
-    to ``depth`` sections ahead of the consuming kernel
-    (:func:`pipeline_batches`), so decode and CRC work overlap with
-    profiling instead of serialising with it.  The measured wall time
-    is end-to-end bytes-to-profile, the figure that decode pipelining
-    actually improves.
+    fused, for superop-capable tools — one at a time in the calling
+    thread, each handed to the kernel as soon as it is ready.  The
+    measured wall time is end-to-end bytes-to-profile: decode, fusion
+    and replay.
     """
     best_time = math.inf
     space = 0
     for _ in range(repeats):
         tool = factory()
-        if tool.supports_superops:
-            sections = (fuse_batch(s) for s in iter_section_batches(payload))
-        else:
-            sections = iter_section_batches(payload)
+        fuse = tool.supports_superops
         consume = tool.consume_columnar
         start = time.perf_counter()
-        for section in pipeline_batches(sections, depth=depth):
-            consume(section)
+        for section in iter_section_batches(payload):
+            consume(fuse_batch(section) if fuse else section)
         elapsed = time.perf_counter() - start
         if elapsed < best_time:
             best_time = elapsed
@@ -313,7 +307,7 @@ def _replay_worker(
 ) -> Tuple[float, int]:
     """Process-pool entry point: decode the shipped trace and replay.
 
-    The columnar engine streams sections through the pipelined decoder;
+    The columnar engine streams sections straight off the payload;
     the others decode the whole payload up front (the pre-existing
     behaviour, kept as the measurement baseline).
     """
@@ -596,8 +590,8 @@ def measure_workload(
     superops = 0
     if engine == "columnar":
         # Fuse once per workload, outside every timed region; all
-        # in-process replays share it (workers re-fuse locally, also
-        # outside their timed regions).
+        # in-process replays share it (pool workers replay from the
+        # bytes and time decode and fusion with the kernel).
         fused = fuse_batch(batch)
         superops = count_superops(fused)[0]
 

@@ -6,7 +6,9 @@ Three contracts:
   ``TraceEncoder(fuse=True)``) collapses stride-1 same-thread runs into
   run superops, but ``iter_events`` expands them back to the identical
   logical stream, ``event_count`` still counts logical events, and the
-  binary serialisation round-trips fused batches unchanged.
+  binary serialisation round-trips fused batches unchanged.  The
+  vectorised pass is row-for-row the scalar loop it replaced, kept
+  here as ``reference_fuse``, at every slice size.
 * **The columnar engine is invisible.** On arbitrary traces —
   including tiny counter limits that force renumbering mid-batch, and
   fault-injected VM runs — ``consume_columnar`` over the fused batch
@@ -22,12 +24,14 @@ Three contracts:
 """
 
 import threading
-import time
+from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.events as events_module
+import repro.tools.partition as partition_module
 from repro.core import (
     FULL_POLICY,
     DrmsProfiler,
@@ -35,8 +39,12 @@ from repro.core import (
     RmsProfiler,
 )
 from repro.core.events import (
+    OP_CALL,
     OP_READ,
     OP_READ_RUN,
+    OP_RETURN,
+    OP_SWITCH_THREAD,
+    OP_USER_TO_KERNEL,
     OP_WRITE,
     OP_WRITE_RUN,
     Call,
@@ -53,10 +61,12 @@ from repro.core.events import (
 from repro.core.tracefile import (
     TraceFormatError,
     iter_section_batches,
-    pipeline_batches,
+    plan_partitions,
+    trace_section_stats,
 )
 from repro.tools import DEFAULT_TOOLS, replay_tool, replay_tool_streaming
 from repro.tools.base import AnalysisTool
+from repro.tools.partition import replay_partition
 
 from tests.test_batch_pipeline import (
     ALL_POLICIES,
@@ -148,6 +158,147 @@ def test_fusion_skips_non_adjacent_and_cross_thread():
     assert fused.ops.count(OP_READ_RUN) == 1  # only 0x12,0x13 fuse
     assert fused.ops.count(OP_READ) == 2
     assert list(fused.iter_events()) == events
+
+
+def reference_fuse(batch, leaf_bits=6):
+    """The row-at-a-time fusion loop ``fuse_batch`` replaced, kept as
+    the reference its vectorised run detection must reproduce."""
+    ops, threads, args, costs = batch.ops, batch.threads, batch.args, batch.costs
+    f_ops, f_threads = array("b"), array("q")
+    f_args, f_costs = array("q"), array("q")
+    tail_op = -1
+    tail_thread = tail_next = 0
+    tail_leaf = -1
+    for i in range(len(ops)):
+        op = ops[i]
+        if op == OP_READ or op == OP_WRITE:
+            thread = threads[i]
+            addr = args[i]
+            run_op = OP_READ_RUN if op == OP_READ else OP_WRITE_RUN
+            if (
+                (tail_op == op or tail_op == run_op)
+                and thread == tail_thread
+                and addr == tail_next
+                and (addr >> leaf_bits) == tail_leaf
+            ):
+                if tail_op == op:
+                    f_ops[-1] = run_op
+                    f_costs[-1] = 2
+                    tail_op = run_op
+                else:
+                    f_costs[-1] += 1
+                tail_next = addr + 1
+                continue
+            tail_op = op
+            tail_thread = thread
+            tail_next = addr + 1
+            tail_leaf = addr >> leaf_bits
+        elif op == OP_READ_RUN or op == OP_WRITE_RUN:
+            tail_op = op
+            tail_thread = threads[i]
+            tail_next = args[i] + costs[i]
+            tail_leaf = args[i] >> leaf_bits
+        else:
+            tail_op = -1
+        f_ops.append(op)
+        f_threads.append(threads[i])
+        f_args.append(args[i])
+        f_costs.append(costs[i])
+    return EventBatch(f_ops, f_threads, f_args, f_costs, names=batch.names)
+
+
+def columns(batch):
+    return (batch.ops, batch.threads, batch.args, batch.costs)
+
+
+@st.composite
+def fusion_rows(draw):
+    """Raw batch rows built from segments: stride-1 plain read/write
+    runs, already-fused run rows and non-memory rows, on up to three
+    threads, with bases near leaf edges so runs cross leaf boundaries
+    (and, at tiny slice sizes, slice cuts)."""
+    ops, threads = array("b"), array("q")
+    args, costs = array("q"), array("q")
+    segments = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(("read", "write", "run", "other")),
+                st.integers(1, 3),
+                st.integers(0, 5),
+                st.integers(-8, 8),
+                st.integers(1, 12),
+                st.integers(0, 2),
+            ),
+            max_size=40,
+        )
+    )
+    for kind, thread, leaf, offset, length, extra in segments:
+        base = leaf * 64 + offset
+        if kind == "other":
+            op = (OP_CALL, OP_RETURN, OP_SWITCH_THREAD, OP_USER_TO_KERNEL)[
+                extra % 4
+            ]
+            ops.append(op)
+            threads.append(thread)
+            args.append(base)
+            costs.append(length)
+        elif kind == "run":
+            ops.append(OP_WRITE_RUN if extra else OP_READ_RUN)
+            threads.append(thread)
+            args.append(base)
+            costs.append(length)
+        else:
+            op = OP_READ if kind == "read" else OP_WRITE
+            for k in range(length):
+                ops.append(op)
+                threads.append(thread)
+                args.append(base + k)
+                # plain rows carry no cost in VM traces; a stray one
+                # must survive on an unfused row and vanish in a run
+                costs.append(extra if k == 0 else 0)
+    return EventBatch(ops, threads, args, costs)
+
+
+def fuse_with_slice(batch, slice_rows, leaf_bits=6):
+    saved = events_module._FUSE_SLICE
+    events_module._FUSE_SLICE = slice_rows
+    try:
+        return fuse_batch(batch, leaf_bits)
+    finally:
+        events_module._FUSE_SLICE = saved
+
+
+@given(fusion_rows(), st.sampled_from([1, 2, 3, 5, 16, 16384]), st.sampled_from([6, 3]))
+@settings(max_examples=300, deadline=None)
+def test_fuse_batch_matches_scalar_reference(batch, slice_rows, leaf_bits):
+    """Vectorised fusion is row-for-row the scalar loop, at any slice
+    size (tiny slices put many runs across slice cuts), and idempotent."""
+    fused = fuse_with_slice(batch, slice_rows, leaf_bits)
+    assert columns(fused) == columns(reference_fuse(batch, leaf_bits))
+    assert columns(fuse_with_slice(fused, slice_rows, leaf_bits)) == columns(
+        fused
+    )
+
+
+def test_fuse_batch_empty():
+    fused = fuse_batch(EventBatch())
+    assert columns(fused) == columns(EventBatch())
+    assert [col.typecode for col in columns(fused)] == ["b", "q", "q", "q"]
+
+
+def test_fuse_batch_beyond_one_slice():
+    """A batch several slices long, whose runs straddle every slice cut
+    and whose last run spans a whole slice, fuses like the reference."""
+    n = 3 * events_module._FUSE_SLICE + 100
+    ops = array("b", [OP_READ] * n)
+    threads = array("q", [1 + (i // 5000) % 2 for i in range(n)])
+    args = array("q", [i + 10 for i in range(n)])
+    batch = EventBatch(ops, threads, args, array("q", [0] * n))
+    assert columns(fuse_batch(batch)) == columns(reference_fuse(batch))
+    wide = 20  # 1M-cell leaves: one run longer than a slice
+    assert columns(fuse_batch(batch, wide)) == columns(
+        reference_fuse(batch, wide)
+    )
 
 
 # -- engine equivalence -------------------------------------------------------
@@ -329,7 +480,7 @@ def test_begin_trace_swaps_shadows_for_every_engine():
     assert results[0] == results[1]
 
 
-# -- pipelined zero-copy decode -----------------------------------------------
+# -- streaming zero-copy decode -----------------------------------------------
 
 
 def _long_trace(n=2600):
@@ -358,110 +509,77 @@ def test_section_batches_round_trip_multi_section():
     assert decoded == events
 
 
-def test_pipeline_batches_round_trips_sections():
-    events = _long_trace()
-    payload = encode_events(events).to_bytes()
-    streamed = [
-        e
-        for s in pipeline_batches(iter_section_batches(payload), depth=2)
-        for e in s.iter_events()
-    ]
-    assert streamed == events
-
-
-def test_pipeline_early_abandon_stops_reader():
-    events = _long_trace()
-    payload = encode_events(events).to_bytes()
-    before = threading.active_count()
-    stream = pipeline_batches(iter_section_batches(payload), depth=1)
-    next(stream)
-    stream.close()  # abandon with sections still undecoded
-    deadline = time.monotonic() + 5.0
-    while threading.active_count() > before and time.monotonic() < deadline:
-        time.sleep(0.01)
-    assert threading.active_count() <= before
-
-
 def test_pipeline_reraises_decode_corruption():
     """A flipped byte in a late section surfaces as TraceFormatError in
-    the consumer; the CRC-clean prefix still streams through first."""
+    the decode-fuse-replay loop; the CRC-clean prefix still streams
+    through first."""
     events = _long_trace()
     payload = bytearray(encode_events(events).to_bytes())
     payload[-40] ^= 0xFF  # inside the last section's event columns
     got = []
     with pytest.raises(TraceFormatError):
-        for section in pipeline_batches(
-            iter_section_batches(bytes(payload)), depth=2
-        ):
-            got.extend(section.iter_events())
+        for section in iter_section_batches(bytes(payload)):
+            got.extend(fuse_batch(section).iter_events())
     assert got == events[: len(got)]
     assert len(got) >= 1024  # at least the first section survived
-
-
-def test_pipeline_stats_count_batches_and_stalls():
-    """Backpressure accounting (PR 6 satellite): the stats object counts
-    every yielded section, tracks the decode-ahead high-water mark, and
-    a deliberately slow consumer shows up as producer backpressure."""
-    from repro.core.tracefile import PipelineStats
-
-    events = _long_trace()
-    payload = encode_events(events).to_bytes()
-    stats = PipelineStats()
-    sections = list(
-        pipeline_batches(iter_section_batches(payload), depth=2, stats=stats)
-    )
-    assert stats.batches == len(sections) > 1
-    assert stats.decode_stall_s >= 0.0
-    assert stats.backpressure_s >= 0.0
-    assert 0 <= stats.queue_depth_hwm <= 2
-
-    slow = PipelineStats()
-    for _section in pipeline_batches(
-        iter_section_batches(payload), depth=1, stats=slow
-    ):
-        time.sleep(0.005)  # consumer slower than decode: queue fills
-    assert slow.batches == len(sections)
-    assert slow.queue_depth_hwm >= 1
-    assert slow.backpressure_s > 0.0
-
-
-def test_pipeline_stats_publish_to_metrics():
-    from repro.core.tracefile import PipelineStats
-    from repro.obs import MetricsRegistry
-
-    events = _long_trace()
-    payload = encode_events(events).to_bytes()
-    stats = PipelineStats()
-    consumed = sum(
-        len(s)
-        for s in pipeline_batches(
-            iter_section_batches(payload), depth=2, stats=stats
-        )
-    )
-    assert consumed == len(events)
-    registry = MetricsRegistry()
-    stats.publish(registry, {"label": "t"})
-    labels = {"label": "t"}
-    assert registry.counter("pipeline.batches", labels).value == stats.batches
-    assert registry.histogram("pipeline.decode_stall_us", labels).count == 1
-    assert registry.histogram("pipeline.backpressure_us", labels).count == 1
-    assert (
-        registry.gauge("pipeline.queue_depth_hwm", labels).value
-        == stats.queue_depth_hwm
-    )
 
 
 def test_streaming_profile_matches_monolithic():
     events = _long_trace()
     payload = encode_events(events).to_bytes()
     streamed = DrmsProfiler(policy=FULL_POLICY)
-    for section in pipeline_batches(
-        (fuse_batch(s) for s in iter_section_batches(payload)), depth=4
-    ):
-        streamed.consume_columnar(section)
+    for section in iter_section_batches(payload):
+        streamed.consume_columnar(fuse_batch(section))
     whole = DrmsProfiler(policy=FULL_POLICY)
     whole.consume_batch(encode_events(events))
     assert streamed.metrics_snapshot() == whole.metrics_snapshot()
+
+
+def test_partition_replay_decodes_and_fuses_each_section_once(monkeypatch):
+    """Both profiler kinds of a partition replay share one decode and
+    one fusion per section, in the calling thread."""
+    events = _long_trace()
+    batch = encode_events(events)
+    payload = batch.to_bytes()
+    part = plan_partitions(payload, 1).partitions[0]
+    decoded, fused = [], []
+    real_iter = partition_module.iter_section_batches
+    real_fuse = partition_module.fuse_batch
+
+    def counting_iter(*args, **kwargs):
+        for section in real_iter(*args, **kwargs):
+            decoded.append(len(section))
+            yield section
+
+    def counting_fuse(section, *args, **kwargs):
+        fused.append(len(section))
+        return real_fuse(section, *args, **kwargs)
+
+    def no_threads(self):
+        raise AssertionError(f"replay started a thread: {self.name}")
+
+    monkeypatch.setattr(partition_module, "iter_section_batches", counting_iter)
+    monkeypatch.setattr(partition_module, "fuse_batch", counting_fuse)
+    monkeypatch.setattr(threading.Thread, "start", no_threads)
+    shards = replay_partition(payload, part, ("drms", "rms"), 1)
+    sections = len(trace_section_stats(payload))
+    assert sections > 1
+    assert len(decoded) == sections
+    assert fused == decoded
+    assert [s.kind for s in shards] == ["drms", "rms"]
+    assert shards[0].decode_fuse_s == shards[1].decode_fuse_s > 0.0
+    drms = DrmsProfiler(policy=FULL_POLICY, keep_activations=False)
+    rms = RmsProfiler(keep_activations=False)
+    drms.consume_batch(batch)
+    rms.consume_batch(batch)
+    assert profile_state(shards[0].profiler.profiles) == profile_state(
+        drms.profiles
+    )
+    assert profile_state(shards[1].profiler.profiles) == profile_state(
+        rms.profiles
+    )
+    # the runner's streaming replay stays on the calling thread too
+    replay_tool_streaming(DEFAULT_TOOLS["aprof-drms"], payload, repeats=1)
 
 
 # -- tool replay engines ------------------------------------------------------

@@ -377,4 +377,4 @@ def test_partition_metrics_published():
         slabels = {"label": "test", "kind": "drms", "partition": str(i)}
         assert registry.gauge("partition.replay_us", slabels).value >= 1
         assert registry.gauge("partition.events", slabels).value > 0
-    assert registry.histogram("partition.decode_stall_us", labels).count == 3
+    assert registry.histogram("partition.decode_fuse_us", labels).count == 3

@@ -239,6 +239,60 @@ def test_sigkill_mid_replay_leaves_no_segments_or_orphans(monkeypatch):
 
 
 @pytest.mark.skipif(not shm_available(), reason="no working shared memory")
+def test_pool_warmed_before_first_segment_shares_resource_tracker():
+    """Workers forked before the parent's first segment still share its
+    resource tracker: a run that warms the pool with no-op tasks, then
+    replays over shm and shuts the pool down, prints no tracker
+    warning (a worker-private tracker reports the attached segment as
+    leaked when its worker exits) and leaves /dev/shm as found."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = textwrap.dedent(
+        """
+        import os, sys
+        sys.path.insert(0, %r)
+        from repro.core.events import SwitchThread, encode_events
+        from repro.core.tracing import with_switches
+        from repro.tools.partition import replay_partitioned
+        from repro.tools.pool import get_pool, shutdown_pool
+        from repro.workloads.registry import get_workload
+
+        machine = get_workload("producer_consumer").build(threads=2, scale=2)
+        machine.run()
+        run = with_switches(machine.trace)
+        events, bounds = list(run), []
+        for _ in range(3):
+            bounds.append(len(events))
+            events.append(SwitchThread())
+            events.extend(run)
+        payload = encode_events(events).to_bytes(
+            section_events=64, boundaries=bounds
+        )
+        pool = get_pool().ensure(2)
+        for future in [pool.submit(os.getpid) for _ in range(2)]:
+            future.result()
+        rep = replay_partitioned(
+            payload, partitions=3, kinds=("drms", "rms"), workers=2
+        )
+        shutdown_pool()
+        print(len(rep.plan.partitions), len(rep.degradations))
+        """
+    ) % os.path.join(root, "src")
+    before = shm_listing()
+    env = dict(os.environ, REPRO_PARTITION_FORCE_POOL="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", src],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["3", "0"]
+    assert "resource_tracker" not in proc.stderr, proc.stderr
+    assert shm_listing() == before
+
+
+@pytest.mark.skipif(not shm_available(), reason="no working shared memory")
 def test_reaper_collects_segments_of_sigkilled_process():
     """The cross-run backstop: a process SIGKILLed while *owning* a
     segment (atexit never runs) leaves a pid-stamped file that the next
